@@ -164,7 +164,9 @@ fn run_cell(s: &Scenario, defense: &Defense, seed: u64, total_epochs: usize) -> 
             }
         }
         // AG-FP insists on one fingerprint per folded account.
-        engine.set_fingerprints(s.fingerprints[..=max_account].to_vec());
+        engine
+            .set_fingerprints(s.fingerprints[..=max_account].to_vec())
+            .expect("campaign fingerprints are valid");
         engine.run_epoch();
         let report = engine.audit_report(3);
         for (a, streak) in first_flag.iter_mut().enumerate() {

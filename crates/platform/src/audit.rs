@@ -11,7 +11,10 @@ pub struct SuspectGroup {
     pub accounts: Vec<usize>,
 }
 
-/// The outcome of [`crate::Platform::audit`].
+/// The operator-facing outcome of a Sybil audit: a grouping's clusters
+/// of at least `min_group_size` accounts, optionally joined with the
+/// stochastic audit's convictions ([`crate::EpochEngine::audit_report`]
+/// builds one over the latest snapshot).
 ///
 /// The paper deliberately does *not* ban suspected accounts ("we do not
 /// directly eliminate the data submitted by suspicious accounts since
@@ -28,7 +31,11 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    pub(crate) fn build(grouping: Grouping, method: &'static str, min_group_size: usize) -> Self {
+    /// Flags every group of `grouping` (produced by the method named
+    /// `method`) with at least `min_group_size` accounts as a suspected
+    /// Sybil cluster. This is the one place the flagging policy lives.
+    pub fn new(grouping: Grouping, method: &'static str, min_group_size: usize) -> Self {
+        let _span = srtd_runtime::obs::span("platform.audit");
         // A Sybil cluster needs at least two accounts; thresholds of 0 or 1
         // would flag every singleton, so the filter clamps to 2. The clamp
         // is recorded, not silent: `min_group_size()` reports what was
@@ -152,7 +159,7 @@ mod tests {
     use super::*;
 
     fn report(labels: &[usize], min: usize) -> AuditReport {
-        AuditReport::build(Grouping::from_labels(labels), "AG-TEST", min)
+        AuditReport::new(Grouping::from_labels(labels), "AG-TEST", min)
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! 1. [`EpochEngine::ingest`] validates each report and parks it in a
 //!    per-shard buffer (shard = account mod shard count) without touching
 //!    the live campaign;
-//! 2. [`EpochEngine::run_epoch`] drains the shards in deterministic order
-//!    (shard ascending, FIFO within a shard), folds the batch into the
+//! 2. an epoch drains the shards in deterministic order (shard
+//!    ascending, FIFO within a shard), folds the batch into the
 //!    generation-stamped CSR index of [`SensingData`], re-runs grouping
 //!    plus Algorithm 2 — warm-seeded from the previous epoch's group
-//!    weights — and publishes an immutable [`EpochSnapshot`];
+//!    weights — and publishes an immutable [`EpochSnapshot`]. The two
+//!    entry points share that one body and differ only in the grouping
+//!    stage: [`EpochEngine::run_epoch`] re-groups the whole campaign,
+//!    [`EpochEngine::run_epoch_incremental`] re-decides only the pairs
+//!    an [`EdgeGrouping`] must revisit;
 //! 3. readers hold an [`EpochReader`] and see the previous snapshot,
 //!    untouched, until the swap: publication is one `Arc` store under a
 //!    mutex, never a rebuild in place.
@@ -23,16 +27,21 @@
 //! snapshots regardless of worker count.
 
 use crate::audit::AuditReport;
+use crate::error::{EnrollError, IngestError};
 use crate::stochastic::{AuditPolicy, StochasticAuditor};
 use srtd_core::{AccountGrouping, EdgeGrouping, Grouping, SybilResistantTd};
+use srtd_fingerprint::FINGERPRINT_DIMENSIONS;
 use srtd_graph::UnionFind;
 use srtd_runtime::json::{Json, ToJson};
 use srtd_runtime::obs;
 use srtd_truth::{Report, SensingData};
 use std::collections::HashSet;
-use std::error::Error;
-use std::fmt;
 use std::sync::{Arc, Mutex};
+
+/// Plausible value band for a report, inclusive (dBm). Reports outside
+/// it are refused at ingest: a Wi-Fi RSSI of +20 dBm is physical nonsense
+/// regardless of who submits it.
+pub(crate) const VALUE_BAND: (f64, f64) = (-120.0, 0.0);
 
 /// Epoch engine policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,55 +49,13 @@ pub struct EpochConfig {
     /// Ingest buffer shards; accounts map to shards by `account % shards`.
     /// Zero is clamped to one.
     pub num_shards: usize,
-    /// Seed each epoch's Algorithm 2 run with the previous epoch's group
-    /// weights (falls back to the cold Eq. 4 prior whenever the grouping
-    /// changed shape).
-    pub warm_start: bool,
 }
 
 impl Default for EpochConfig {
     fn default() -> Self {
-        Self {
-            num_shards: 4,
-            warm_start: true,
-        }
+        Self { num_shards: 4 }
     }
 }
-
-/// Why the epoch engine refused a report at ingest.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum IngestError {
-    /// The task index is outside the campaign.
-    UnknownTask {
-        /// The offending task index.
-        task: usize,
-        /// Tasks in the campaign.
-        num_tasks: usize,
-    },
-    /// The value is NaN or infinite.
-    NonFiniteValue,
-    /// The timestamp is NaN or infinite.
-    NonFiniteTimestamp,
-    /// The account already reported this task — folded or still buffered.
-    DuplicateReport,
-}
-
-impl fmt::Display for IngestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IngestError::UnknownTask { task, num_tasks } => {
-                write!(f, "task {task} is outside the {num_tasks}-task campaign")
-            }
-            IngestError::NonFiniteValue => write!(f, "value is not finite"),
-            IngestError::NonFiniteTimestamp => write!(f, "timestamp is not finite"),
-            IngestError::DuplicateReport => {
-                write!(f, "account already reported this task")
-            }
-        }
-    }
-}
-
-impl Error for IngestError {}
 
 /// One epoch's published output: the truths and grouping readers serve
 /// while the next epoch computes. Immutable by construction — a new epoch
@@ -193,11 +160,11 @@ impl EpochReader {
     }
 }
 
-/// The epoch-driven incremental service loop around one campaign.
+/// The platform: one campaign's accounts, fingerprints and reports, run
+/// as an epoch-driven incremental service loop.
 #[derive(Debug)]
 pub struct EpochEngine<G> {
     framework: SybilResistantTd<G>,
-    config: EpochConfig,
     data: SensingData,
     fingerprints: Vec<Vec<f64>>,
     shards: Vec<Vec<Report>>,
@@ -222,6 +189,12 @@ pub struct EpochEngine<G> {
     audit_reference: Vec<Option<f64>>,
 }
 
+/// An epoch's grouping stage: given the engine after the fold, the
+/// drained batch, and whether the edge cache went stale before the fold,
+/// it returns the grouping Algorithm 2 runs on — or `None` to let the
+/// framework group the whole campaign itself.
+type GroupingStage<G> = fn(&mut EpochEngine<G>, &[Report], bool) -> Option<Grouping>;
+
 impl<G: AccountGrouping> EpochEngine<G> {
     /// Creates an engine over an empty `num_tasks`-task campaign and
     /// publishes the epoch-0 empty snapshot.
@@ -231,13 +204,11 @@ impl<G: AccountGrouping> EpochEngine<G> {
     /// Panics if `num_tasks == 0`.
     pub fn new(framework: SybilResistantTd<G>, num_tasks: usize, config: EpochConfig) -> Self {
         assert!(num_tasks > 0, "a campaign needs at least one task");
-        let shards = config.num_shards.max(1);
         Self {
             framework,
-            config,
             data: SensingData::new(num_tasks),
             fingerprints: Vec::new(),
-            shards: vec![Vec::new(); shards],
+            shards: vec![Vec::new(); config.num_shards.max(1)],
             pending: HashSet::new(),
             rejected: 0,
             epoch: 0,
@@ -293,22 +264,41 @@ impl<G: AccountGrouping> EpochEngine<G> {
         }
     }
 
-    /// Registers account fingerprints for fingerprint-based grouping
-    /// methods (one feature vector per account index, replacing any
-    /// previous registration). Methods that don't use fingerprints can
-    /// skip this entirely.
-    pub fn set_fingerprints(&mut self, fingerprints: Vec<Vec<f64>>) {
-        self.fingerprints = fingerprints;
-    }
-
-    /// Validates one report and parks it in its account's shard buffer;
-    /// it joins the campaign at the next [`Self::run_epoch`].
+    /// Registers the accounts' sign-in device fingerprints for
+    /// fingerprint-based grouping methods (one Table-II feature vector per
+    /// account index, replacing any previous registration). Methods that
+    /// don't use fingerprints can skip this entirely.
     ///
     /// # Errors
     ///
-    /// Rejects out-of-campaign tasks, non-finite values or timestamps,
-    /// and duplicates against both folded and still-buffered reports.
-    /// Rejected reports are counted and otherwise ignored.
+    /// Refuses the whole registration — keeping the previous one — if any
+    /// fingerprint does not have [`FINGERPRINT_DIMENSIONS`] entries or
+    /// holds a non-finite value.
+    pub fn set_fingerprints(&mut self, fingerprints: Vec<Vec<f64>>) -> Result<(), EnrollError> {
+        for fingerprint in &fingerprints {
+            if fingerprint.len() != FINGERPRINT_DIMENSIONS {
+                return Err(EnrollError::BadFingerprint {
+                    got: fingerprint.len(),
+                    want: FINGERPRINT_DIMENSIONS,
+                });
+            }
+            if fingerprint.iter().any(|v| !v.is_finite()) {
+                return Err(EnrollError::NonFiniteFingerprint);
+            }
+        }
+        self.fingerprints = fingerprints;
+        Ok(())
+    }
+
+    /// Validates one report and parks it in its account's shard buffer;
+    /// it joins the campaign at the next epoch.
+    ///
+    /// # Errors
+    ///
+    /// Rejects out-of-campaign tasks, non-finite or implausible values
+    /// (outside the [-120, 0] dBm band), non-finite timestamps, and duplicates
+    /// against both folded and still-buffered reports. Rejected reports
+    /// are counted and otherwise ignored.
     pub fn ingest(
         &mut self,
         account: usize,
@@ -316,10 +306,9 @@ impl<G: AccountGrouping> EpochEngine<G> {
         value: f64,
         timestamp: f64,
     ) -> Result<(), IngestError> {
-        let outcome = self.validate(account, task, value, timestamp);
+        let outcome = self.admit(account, task, value, timestamp);
         match outcome {
             Ok(()) => {
-                self.pending.insert((account, task));
                 let shard = account % self.shards.len();
                 self.shards[shard].push(Report {
                     account,
@@ -337,8 +326,11 @@ impl<G: AccountGrouping> EpochEngine<G> {
         }
     }
 
-    fn validate(
-        &self,
+    /// Applies every ingest rule and, once they all pass, claims the
+    /// report's `(account, task)` slot in the pending set — one hash probe
+    /// both detects a buffered duplicate and records the new report.
+    fn admit(
+        &mut self,
         account: usize,
         task: usize,
         value: f64,
@@ -353,10 +345,13 @@ impl<G: AccountGrouping> EpochEngine<G> {
         if !value.is_finite() {
             return Err(IngestError::NonFiniteValue);
         }
+        if !(VALUE_BAND.0..=VALUE_BAND.1).contains(&value) {
+            return Err(IngestError::ImplausibleValue { value });
+        }
         if !timestamp.is_finite() {
             return Err(IngestError::NonFiniteTimestamp);
         }
-        if self.data.has_report(account, task) || self.pending.contains(&(account, task)) {
+        if self.data.has_report(account, task) || !self.pending.insert((account, task)) {
             return Err(IngestError::DuplicateReport);
         }
         Ok(())
@@ -400,7 +395,7 @@ impl<G: AccountGrouping> EpochEngine<G> {
     pub fn audit_report(&self, min_group_size: usize) -> AuditReport {
         let snap = self.latest();
         let grouping = Grouping::from_labels(&snap.labels);
-        AuditReport::build(
+        AuditReport::new(
             grouping,
             self.framework.grouping_method().name(),
             min_group_size,
@@ -408,12 +403,17 @@ impl<G: AccountGrouping> EpochEngine<G> {
         .with_convictions(snap.convicted.clone())
     }
 
-    /// Runs one epoch: drains the shard buffers in deterministic order
-    /// (shard ascending, FIFO within a shard), folds the batch into the
-    /// incremental CSR index, re-runs grouping + Algorithm 2 (warm-seeded
-    /// when configured), and publishes the new snapshot. An epoch with an
-    /// empty buffer is the steady-state case: no fold, but discovery
-    /// re-runs and re-publishes.
+    /// Runs one epoch, re-grouping the whole campaign: drains the shard
+    /// buffers in deterministic order (shard ascending, FIFO within a
+    /// shard), folds the batch into the incremental CSR index, re-runs
+    /// grouping + Algorithm 2 warm-seeded from the previous epoch's group
+    /// weights, and publishes the new snapshot. An epoch with an empty
+    /// buffer is the steady-state case: no fold, but discovery re-runs and
+    /// re-publishes.
+    ///
+    /// This is the path for groupings without a pairwise decision rule
+    /// (AG-FP's k-means); an [`EdgeGrouping`] can re-examine only what
+    /// changed with [`Self::run_epoch_incremental`].
     ///
     /// Each epoch is one telemetry window (`epoch-<n>`): the engine
     /// brackets the run with `obs::window_begin`/`window_end`, so the
@@ -421,6 +421,12 @@ impl<G: AccountGrouping> EpochEngine<G> {
     /// tree attributing the `epoch.fold` / `epoch.discover` / `epoch.swap`
     /// stages under the `server.epoch` span.
     pub fn run_epoch(&mut self) -> Arc<EpochSnapshot> {
+        self.epoch_with(|_, _, _| None)
+    }
+
+    /// The one epoch body both entry points share: drain → fold →
+    /// `grouping` stage → discover → audit → swap → publish.
+    fn epoch_with(&mut self, grouping: GroupingStage<G>) -> Arc<EpochSnapshot> {
         obs::window_begin();
         let started = std::time::Instant::now();
         let snapshot = {
@@ -434,6 +440,11 @@ impl<G: AccountGrouping> EpochEngine<G> {
             }
             self.pending.clear();
             let folded = batch.len();
+            // If a full-regroup epoch folded reports since the last
+            // incremental grouping, the edge cache no longer knows which
+            // accounts changed — the grouping stage treats everything as
+            // dirty.
+            let stale = self.data.generation() != self.regroup_generation;
             {
                 let _fold = obs::span("epoch.fold");
                 if folded > 0 {
@@ -446,15 +457,18 @@ impl<G: AccountGrouping> EpochEngine<G> {
                 }
             }
 
-            let warm = if self.config.warm_start {
-                self.prev_weights.as_deref()
-            } else {
-                None
-            };
+            let grouping = grouping(self, &batch, stale);
             let result = {
                 let _discover = obs::span("epoch.discover");
-                self.framework
-                    .discover_warm(&self.data, &self.fingerprints, warm)
+                let warm = self.prev_weights.as_deref();
+                match grouping {
+                    Some(grouping) => self
+                        .framework
+                        .discover_with_grouping_seeded(&self.data, grouping, warm),
+                    None => self
+                        .framework
+                        .discover_warm(&self.data, &self.fingerprints, warm),
+                }
             };
             obs::counter_add("server.epoch.iterations", result.iterations as u64);
 
@@ -517,124 +531,60 @@ impl<G: EdgeGrouping> EpochEngine<G> {
     /// Either way the resulting partition is pinned identical to what a
     /// from-scratch [`AccountGrouping::group`] would produce (the
     /// `incremental_group` suite enforces this), and the published
-    /// snapshot has the same shape as the batch path's.
+    /// snapshot has the same shape as the batch path's. The only stage
+    /// that differs from [`Self::run_epoch`] is an extra `epoch.regroup`
+    /// span between `epoch.fold` and `epoch.discover`.
     pub fn run_epoch_incremental(&mut self) -> Arc<EpochSnapshot> {
-        obs::window_begin();
-        let started = std::time::Instant::now();
-        let snapshot = {
-            let _span = obs::span("server.epoch");
+        self.epoch_with(|engine, batch, stale| Some(engine.regroup(batch, stale)))
+    }
 
-            // Drain: shard order then arrival order, as in `run_epoch`.
-            let mut batch = Vec::with_capacity(self.pending.len());
-            for shard in &mut self.shards {
-                batch.append(shard);
+    /// The incremental grouping stage: marks the batch's accounts (and
+    /// every account the forest has never seen) dirty, re-decides only
+    /// their pairs, and merges or rebuilds the persistent forest.
+    fn regroup(&mut self, batch: &[Report], stale: bool) -> Grouping {
+        let _regroup = obs::span("epoch.regroup");
+        let n = self.data.num_accounts();
+        let mut dirty = vec![stale; n];
+        for report in batch {
+            dirty[report.account] = true;
+        }
+        // Accounts the forest has never seen (reserve_accounts can create
+        // report-less accounts below the batch maximum) have no cached
+        // decisions either.
+        for flag in dirty.iter_mut().skip(self.group_uf.len()) {
+            *flag = true;
+        }
+        let dirty_count = dirty.iter().filter(|&&d| d).count() as u64;
+        obs::counter_add("epoch.regroup.dirty_accounts", dirty_count);
+        let (kept, dropped): (Vec<_>, Vec<_>) = self
+            .group_edges
+            .iter()
+            .partition(|&&(i, j)| !dirty[i] && !dirty[j]);
+        let fresh = self
+            .framework
+            .grouping_method()
+            .decision_edges(&self.data, Some(&dirty));
+        if dropped.is_empty() {
+            self.group_uf.grow(n);
+            for &(i, j) in &fresh {
+                self.group_uf.union(i, j);
             }
-            self.pending.clear();
-            let folded = batch.len();
-            // If another path (`run_epoch`) folded reports since the last
-            // incremental grouping, the edge cache no longer knows which
-            // accounts changed — treat everything as dirty.
-            let stale = self.data.generation() != self.regroup_generation;
-            {
-                let _fold = obs::span("epoch.fold");
-                if folded > 0 {
-                    let max_account = batch.iter().map(|r| r.account).max().expect("non-empty");
-                    if max_account >= self.data.num_accounts() {
-                        self.data.reserve_accounts(max_account + 1);
-                    }
-                    self.data.fold_batch(&batch);
-                    obs::counter_add("server.epoch.folded", folded as u64);
-                }
+            obs::counter_add("epoch.regroup.merged_edges", fresh.len() as u64);
+        } else {
+            let mut uf = UnionFind::new(n);
+            for &(i, j) in kept.iter().chain(&fresh) {
+                uf.union(i, j);
             }
-
-            let grouping = {
-                let _regroup = obs::span("epoch.regroup");
-                let n = self.data.num_accounts();
-                let mut dirty = vec![stale; n];
-                for report in &batch {
-                    dirty[report.account] = true;
-                }
-                // Accounts the forest has never seen (reserve_accounts can
-                // create report-less accounts below the batch maximum) have
-                // no cached decisions either.
-                for flag in dirty.iter_mut().skip(self.group_uf.len()) {
-                    *flag = true;
-                }
-                let dirty_count = dirty.iter().filter(|&&d| d).count() as u64;
-                obs::counter_add("epoch.regroup.dirty_accounts", dirty_count);
-                let (kept, dropped): (Vec<_>, Vec<_>) = self
-                    .group_edges
-                    .iter()
-                    .partition(|&&(i, j)| !dirty[i] && !dirty[j]);
-                let fresh = self
-                    .framework
-                    .grouping_method()
-                    .decision_edges(&self.data, Some(&dirty));
-                if dropped.is_empty() {
-                    self.group_uf.grow(n);
-                    for &(i, j) in &fresh {
-                        self.group_uf.union(i, j);
-                    }
-                    obs::counter_add("epoch.regroup.merged_edges", fresh.len() as u64);
-                } else {
-                    let mut uf = UnionFind::new(n);
-                    for &(i, j) in kept.iter().chain(&fresh) {
-                        uf.union(i, j);
-                    }
-                    self.group_uf = uf;
-                    obs::counter_add("epoch.regroup.rebuilds", 1);
-                }
-                self.group_edges = kept;
-                self.group_edges.extend(fresh);
-                self.group_edges.sort_unstable();
-                self.group_edges.dedup();
-                self.regroup_generation = self.data.generation();
-                obs::gauge_set("epoch.regroup.edges", self.group_edges.len() as f64);
-                Grouping::new(self.group_uf.groups())
-            };
-
-            let warm = if self.config.warm_start {
-                self.prev_weights.as_deref()
-            } else {
-                None
-            };
-            let result = {
-                let _discover = obs::span("epoch.discover");
-                self.framework
-                    .discover_with_grouping_seeded(&self.data, grouping, warm)
-            };
-            obs::counter_add("server.epoch.iterations", result.iterations as u64);
-
-            let (audited, convicted) = self.audit_stage(self.epoch + 1);
-
-            let _swap = obs::span("epoch.swap");
-            self.epoch += 1;
-            self.prev_weights = Some(result.group_weights.clone());
-            let snapshot = Arc::new(EpochSnapshot {
-                epoch: self.epoch,
-                generation: self.data.generation(),
-                num_tasks: self.data.num_tasks(),
-                num_accounts: self.data.num_accounts(),
-                num_reports: self.data.num_reports(),
-                folded,
-                truths: result.truths,
-                labels: result.grouping.labels().to_vec(),
-                group_weights: result.group_weights,
-                iterations: result.iterations,
-                converged: result.converged,
-                warm_started: result.warm_started,
-                audited,
-                convicted,
-                duration_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            });
-            *self.published.lock().expect("snapshot lock poisoned") = Arc::clone(&snapshot);
-            obs::counter_add("server.epoch.snapshot_swaps", 1);
-            snapshot
-        };
-        obs::gauge_set("epoch.duration_ns", snapshot.duration_ns as f64);
-        obs::gauge_set("server.ingest.backlog", self.pending.len() as f64);
-        obs::window_end(&format!("epoch-{}", self.epoch));
-        snapshot
+            self.group_uf = uf;
+            obs::counter_add("epoch.regroup.rebuilds", 1);
+        }
+        self.group_edges = kept;
+        self.group_edges.extend(fresh);
+        self.group_edges.sort_unstable();
+        self.group_edges.dedup();
+        self.regroup_generation = self.data.generation();
+        obs::gauge_set("epoch.regroup.edges", self.group_edges.len() as f64);
+        Grouping::new(self.group_uf.groups())
     }
 }
 
@@ -647,10 +597,7 @@ mod tests {
         EpochEngine::new(
             SybilResistantTd::new(SingletonGrouping),
             4,
-            EpochConfig {
-                num_shards,
-                warm_start: true,
-            },
+            EpochConfig { num_shards },
         )
     }
 
@@ -696,6 +643,45 @@ mod tests {
             Err(IngestError::DuplicateReport),
             "duplicate against folded data"
         );
+    }
+
+    #[test]
+    fn implausible_values_are_rejected_at_ingest() {
+        let mut e = engine(2);
+        assert!(matches!(
+            e.ingest(0, 0, 25.0, 1.0),
+            Err(IngestError::ImplausibleValue { value }) if value == 25.0
+        ));
+        assert!(matches!(
+            e.ingest(0, 0, -10_000.0, 1.0),
+            Err(IngestError::ImplausibleValue { .. })
+        ));
+        // The band is inclusive at both ends.
+        e.ingest(0, 0, VALUE_BAND.0, 1.0).expect("lower edge");
+        e.ingest(0, 1, VALUE_BAND.1, 2.0).expect("upper edge");
+        assert_eq!(e.rejected_reports(), 2);
+        let snap = e.run_epoch();
+        assert_eq!(snap.num_reports, 2, "rejected reports never fold");
+    }
+
+    #[test]
+    fn fingerprint_registration_validates_shape() {
+        let mut e = engine(2);
+        assert_eq!(
+            e.set_fingerprints(vec![vec![1.0; 3]]),
+            Err(EnrollError::BadFingerprint { got: 3, want: 80 })
+        );
+        let mut poisoned = vec![vec![0.5; FINGERPRINT_DIMENSIONS]; 2];
+        poisoned[1][7] = f64::NAN;
+        assert_eq!(
+            e.set_fingerprints(poisoned),
+            Err(EnrollError::NonFiniteFingerprint)
+        );
+        e.set_fingerprints(vec![vec![0.5; FINGERPRINT_DIMENSIONS]; 2])
+            .expect("valid fingerprints");
+        // A refused registration keeps the previous one.
+        assert!(e.set_fingerprints(vec![vec![f64::INFINITY; 80]]).is_err());
+        assert_eq!(e.fingerprints.len(), 2);
     }
 
     #[test]

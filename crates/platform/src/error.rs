@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Why an enrollment was refused.
+/// Why a fingerprint registration was refused.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnrollError {
     /// The fingerprint vector has the wrong dimensionality.
@@ -35,71 +35,54 @@ impl fmt::Display for EnrollError {
 
 impl Error for EnrollError {}
 
-/// Why a report submission was refused.
+/// Why the epoch engine refused a report at ingest.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SubmitError {
-    /// The account id was never enrolled.
-    UnknownAccount,
-    /// The task id is outside the published campaign.
-    UnknownTask,
-    /// The account already reported this task (the paper's one-report
-    /// rule: "each account is allowed to submit at most one data for one
-    /// task").
-    DuplicateReport,
-    /// The claimed timestamp lies in the platform's future — the §III-C
-    /// assumption that "the timestamps cannot be fabricated", enforced.
-    FutureTimestamp {
-        /// Claimed submission time.
-        claimed: f64,
-        /// Platform clock at receipt.
-        clock: f64,
+pub enum IngestError {
+    /// The task index is outside the campaign.
+    UnknownTask {
+        /// The offending task index.
+        task: usize,
+        /// Tasks in the campaign.
+        num_tasks: usize,
     },
-    /// The claimed timestamp precedes the account's enrollment.
-    BeforeEnrollment,
-    /// The claimed timestamp runs backwards relative to the account's own
-    /// previous submission (a device cannot un-visit a POI).
-    NonMonotoneTimestamp,
     /// The value is NaN or infinite.
     NonFiniteValue,
-    /// The value lies outside the campaign's plausible band.
+    /// The value lies outside the plausible band of [-120, 0] dBm (a
+    /// Wi-Fi RSSI of +20 dBm is physical nonsense regardless of who
+    /// submits it).
     ImplausibleValue {
         /// The rejected value.
         value: f64,
     },
-    /// No campaign is open.
-    NoCampaign,
+    /// The timestamp is NaN or infinite.
+    NonFiniteTimestamp,
+    /// The account already reported this task — folded or still buffered.
+    DuplicateReport,
 }
 
-impl fmt::Display for SubmitError {
+impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SubmitError::UnknownAccount => write!(f, "account is not enrolled"),
-            SubmitError::UnknownTask => write!(f, "task is not part of the campaign"),
-            SubmitError::DuplicateReport => {
-                write!(f, "account already reported this task")
+            IngestError::UnknownTask { task, num_tasks } => {
+                write!(f, "task {task} is outside the {num_tasks}-task campaign")
             }
-            SubmitError::FutureTimestamp { claimed, clock } => {
+            IngestError::NonFiniteValue => write!(f, "value is not finite"),
+            IngestError::ImplausibleValue { value } => {
+                let (lo, hi) = crate::epoch::VALUE_BAND;
                 write!(
                     f,
-                    "timestamp {claimed} is ahead of the platform clock {clock}"
+                    "value {value} is outside the plausible band [{lo}, {hi}]"
                 )
             }
-            SubmitError::BeforeEnrollment => {
-                write!(f, "timestamp precedes the account's enrollment")
+            IngestError::NonFiniteTimestamp => write!(f, "timestamp is not finite"),
+            IngestError::DuplicateReport => {
+                write!(f, "account already reported this task")
             }
-            SubmitError::NonMonotoneTimestamp => {
-                write!(f, "timestamp runs backwards for this account")
-            }
-            SubmitError::NonFiniteValue => write!(f, "value is not finite"),
-            SubmitError::ImplausibleValue { value } => {
-                write!(f, "value {value} is outside the campaign's plausible band")
-            }
-            SubmitError::NoCampaign => write!(f, "no campaign has been published"),
         }
     }
 }
 
-impl Error for SubmitError {}
+impl Error for IngestError {}
 
 #[cfg(test)]
 mod tests {
@@ -110,12 +93,12 @@ mod tests {
         let errors: Vec<Box<dyn Error>> = vec![
             Box::new(EnrollError::BadFingerprint { got: 3, want: 80 }),
             Box::new(EnrollError::NonFiniteFingerprint),
-            Box::new(SubmitError::UnknownAccount),
-            Box::new(SubmitError::FutureTimestamp {
-                claimed: 10.0,
-                clock: 5.0,
+            Box::new(IngestError::UnknownTask {
+                task: 9,
+                num_tasks: 4,
             }),
-            Box::new(SubmitError::ImplausibleValue { value: 9e9 }),
+            Box::new(IngestError::ImplausibleValue { value: 9e9 }),
+            Box::new(IngestError::DuplicateReport),
         ];
         for e in errors {
             let msg = e.to_string();

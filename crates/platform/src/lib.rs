@@ -4,45 +4,49 @@
 //! crowd of participants. The platform first publicizes a set of sensing
 //! tasks … each user submits [its accomplished task set] to the platform.
 //! Meanwhile, the platform collects the sensor data from the device for
-//! device fingerprinting." This crate is that platform, as an embeddable
-//! service object:
+//! device fingerprinting." This crate is that platform. Its one front end
+//! is [`EpochEngine`], an epoch-driven service loop around one campaign:
 //!
-//! * [`Platform::publish_tasks`] — open a campaign,
-//! * [`Platform::enroll`] — register an account, capturing its device
-//!   fingerprint at sign-in (the paper's 6-second hold),
-//! * [`Platform::submit`] — accept one timestamped report per (account,
-//!   task), enforcing the adversary-model assumptions the paper makes:
-//!   timestamps cannot be fabricated (§III-C cites a detection scheme
-//!   [31]; here, submissions outside the plausible clock window or
-//!   behind the account's own timeline are rejected),
-//! * [`Platform::audit`] — run a pluggable account-grouping method and
-//!   flag suspected Sybil groups,
-//! * [`Platform::aggregate`] / [`Platform::aggregate_resistant`] — plain
-//!   or Sybil-resistant truth discovery over everything accepted so far.
+//! * [`EpochEngine::new`] — open a campaign of `num_tasks` sensing tasks
+//!   with a pluggable account-grouping method,
+//! * [`EpochEngine::set_fingerprints`] — register the accounts' sign-in
+//!   device fingerprints (the paper's 6-second hold), refusing vectors of
+//!   the wrong shape,
+//! * [`EpochEngine::ingest`] — accept one report per (account, task) into
+//!   a buffer, refusing unknown tasks, duplicates, non-finite input and
+//!   values outside the plausible [-120, 0] dBm band,
+//! * [`EpochEngine::run_epoch_incremental`] (edge groupings such as AG-TR
+//!   and AG-TS) or [`EpochEngine::run_epoch`] (any grouping, e.g. AG-FP)
+//!   — fold the buffered reports, re-group, run warm-started Algorithm 2
+//!   and publish an immutable [`EpochSnapshot`] that readers keep serving
+//!   while the next epoch computes,
+//! * [`EpochEngine::audit_report`] — flag suspected Sybil clusters of the
+//!   latest grouping as an [`AuditReport`].
 //!
-//! For the streaming regime — reports arriving continuously while truths
-//! stay servable — [`EpochEngine`] wraps the same pipeline in an
-//! incremental epoch loop: buffered ingest, fold at epoch boundaries,
-//! warm-started re-discovery, immutable published snapshots. Against
-//! adaptive attackers who evade every behavioural grouping signal, the
-//! engine can additionally run a [`StochasticAuditor`]: deterministic
-//! seed-derived spot checks against trusted reference values with a
-//! k-failure conviction machine (see [`stochastic`]).
+//! Against adaptive attackers who evade every behavioural grouping
+//! signal, the engine can additionally run a [`StochasticAuditor`]:
+//! deterministic seed-derived spot checks against trusted reference
+//! values with a k-failure conviction machine (see [`stochastic`]).
 //!
 //! # Examples
 //!
 //! ```
-//! use srtd_platform::{Platform, PlatformConfig};
-//! use srtd_truth::Crh;
+//! use srtd_core::{AgTr, SybilResistantTd};
+//! use srtd_platform::{EpochConfig, EpochEngine, IngestError};
 //!
-//! let mut platform = Platform::new(PlatformConfig::default());
-//! platform.publish_tasks(2);
-//! let alice = platform.enroll(vec![0.0; 80], 0.0).unwrap();
-//! platform.advance_clock(100.0);
-//! platform.submit(alice, 0, -77.0, 60.0)?;
-//! let result = platform.aggregate(&Crh::default());
-//! assert_eq!(result.truths[0], Some(-77.0));
-//! # Ok::<(), srtd_platform::SubmitError>(())
+//! let framework = SybilResistantTd::new(AgTr::default());
+//! let mut platform = EpochEngine::new(framework, 2, EpochConfig::default());
+//! platform.ingest(0, 0, -77.0, 60.0)?;
+//! // +25 dBm is no Wi-Fi reading: refused at the door.
+//! assert!(matches!(
+//!     platform.ingest(1, 1, 25.0, 61.0),
+//!     Err(IngestError::ImplausibleValue { .. })
+//! ));
+//! let snapshot = platform.run_epoch_incremental();
+//! let truth = snapshot.truths[0].expect("task 0 was reported");
+//! assert!((truth + 77.0).abs() < 1e-9);
+//! assert!(platform.audit_report(2).suspects().is_empty());
+//! # Ok::<(), IngestError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,11 +55,9 @@
 mod audit;
 mod epoch;
 mod error;
-mod service;
 pub mod stochastic;
 
 pub use audit::{AuditReport, SuspectGroup};
-pub use epoch::{EpochConfig, EpochEngine, EpochReader, EpochSnapshot, IngestError};
-pub use error::{EnrollError, SubmitError};
-pub use service::{AccountId, Platform, PlatformConfig};
+pub use epoch::{EpochConfig, EpochEngine, EpochReader, EpochSnapshot};
+pub use error::{EnrollError, IngestError};
 pub use stochastic::{AuditPolicy, EpochAudit, StochasticAuditor};

@@ -1,33 +1,34 @@
-//! Full lifecycle: a generated campaign replayed through the platform's
-//! submission API, then audited and aggregated.
+//! Full lifecycle: a generated campaign replayed through the epoch
+//! engine's ingest API, then grouped, aggregated and audited.
 
 use srtd_core::{AgTr, SybilResistantTd};
 use srtd_metrics::mae;
-use srtd_platform::{Platform, PlatformConfig, SubmitError};
-use srtd_runtime::rng::SeedableRng;
-use srtd_runtime::rng::StdRng;
+use srtd_platform::{EpochConfig, EpochEngine, EpochSnapshot, IngestError};
 use srtd_sensing::{Scenario, ScenarioConfig};
-use srtd_truth::Crh;
+use srtd_truth::{Crh, TruthDiscovery};
+use std::sync::Arc;
 
-/// Replays a scenario through the platform: enroll every account with its
-/// fingerprint, then submit every report in timestamp order.
-fn replay(scenario: &Scenario) -> Platform {
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
-    let ids: Vec<_> = scenario
-        .fingerprints
-        .iter()
-        .map(|fp| platform.enroll(fp.clone(), 0.0).expect("valid fingerprint"))
-        .collect();
+/// Replays a scenario through the platform: register every account's
+/// fingerprint, ingest every report in timestamp order, run one AG-TR
+/// epoch.
+fn replay(scenario: &Scenario) -> (EpochEngine<AgTr>, Arc<EpochSnapshot>) {
+    let mut platform = EpochEngine::new(
+        SybilResistantTd::new(AgTr::default()),
+        scenario.data.num_tasks(),
+        EpochConfig::default(),
+    );
+    platform
+        .set_fingerprints(scenario.fingerprints.clone())
+        .expect("valid fingerprints");
     let mut reports: Vec<_> = scenario.data.reports().to_vec();
     reports.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
     for r in reports {
-        platform.advance_clock(platform.clock().max(r.timestamp));
         platform
-            .submit(ids[r.account], r.task, r.value, r.timestamp)
+            .ingest(r.account, r.task, r.value, r.timestamp)
             .expect("scenario reports satisfy the platform rules");
     }
-    platform
+    let snapshot = platform.run_epoch_incremental();
+    (platform, snapshot)
 }
 
 #[test]
@@ -37,17 +38,18 @@ fn generated_scenarios_pass_platform_validation() {
     // contracts together.
     for seed in 0..3 {
         let s = Scenario::generate(&ScenarioConfig::paper_default().with_seed(seed));
-        let platform = replay(&s);
-        assert_eq!(platform.data().num_reports(), s.data.num_reports());
-        assert_eq!(platform.rejected_submissions(), 0);
+        let (platform, snapshot) = replay(&s);
+        assert_eq!(snapshot.num_reports, s.data.num_reports());
+        assert_eq!(snapshot.num_accounts, s.num_accounts());
+        assert_eq!(platform.rejected_reports(), 0);
     }
 }
 
 #[test]
 fn platform_audit_flags_the_sybil_clusters() {
     let s = Scenario::generate(&ScenarioConfig::paper_default().with_seed(5));
-    let platform = replay(&s);
-    let audit = platform.audit(&AgTr::default(), 3);
+    let (platform, _) = replay(&s);
+    let audit = platform.audit_report(3);
     assert_eq!(audit.method(), "AG-TR");
     // Exactly the two 5-account attacker clusters are flagged.
     assert_eq!(audit.suspects().len(), 2);
@@ -60,48 +62,51 @@ fn platform_audit_flags_the_sybil_clusters() {
 #[test]
 fn platform_end_to_end_aggregation_matches_direct_calls() {
     let s = Scenario::generate(&ScenarioConfig::paper_default().with_seed(6));
-    let platform = replay(&s);
-    let via_platform = platform.aggregate(&Crh::default());
-    let direct = srtd_truth::TruthDiscovery::discover(&Crh::default(), &s.data);
+    let (platform, snapshot) = replay(&s);
+    let direct = SybilResistantTd::new(AgTr::default()).discover(&s.data, &s.fingerprints);
     // The platform ingests reports in timestamp order, so floating-point
     // summation order differs from the generator's — equal to rounding.
-    for (a, b) in via_platform.truths.iter().zip(&direct.truths) {
+    for (a, b) in snapshot.truths.iter().zip(&direct.truths) {
         let (a, b) = (a.expect("reported"), b.expect("reported"));
         assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 
-    let framework = SybilResistantTd::new(AgTr::default());
-    let resistant = platform.aggregate_resistant(&framework);
-    let err = mae(&resistant.truths_or(0.0), &s.ground_truth).expect("lengths");
-    let crh_err = mae(&via_platform.truths_or(0.0), &s.ground_truth).expect("lengths");
+    let plain = Crh::default().discover(platform.data());
+    let truths: Vec<f64> = snapshot.truths.iter().map(|t| t.unwrap_or(0.0)).collect();
+    let err = mae(&truths, &s.ground_truth).expect("lengths");
+    let crh_err = mae(&plain.truths_or(0.0), &s.ground_truth).expect("lengths");
     assert!(err < crh_err, "framework {err} should beat CRH {crh_err}");
 }
 
 #[test]
 fn tampered_replay_is_caught_by_validation() {
-    // An attacker trying to smuggle in a report dated before enrollment,
-    // from the future, or with an absurd value is refused at the door.
+    // An attacker trying to smuggle in an absurd value, a report for a
+    // task outside the campaign, a second report for the same task or a
+    // forged non-finite timestamp is refused at the door.
     let s = Scenario::generate(&ScenarioConfig::paper_default().with_seed(7));
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(s.data.num_tasks());
-    let mut rng = StdRng::seed_from_u64(0);
-    let _ = &mut rng;
-    let id = platform
-        .enroll(s.fingerprints[0].clone(), 100.0)
-        .expect("valid");
-    platform.advance_clock(200.0);
-    assert_eq!(
-        platform.submit(id, 0, -70.0, 50.0),
-        Err(SubmitError::BeforeEnrollment)
+    let mut platform = EpochEngine::new(
+        SybilResistantTd::new(AgTr::default()),
+        s.data.num_tasks(),
+        EpochConfig::default(),
     );
     assert!(matches!(
-        platform.submit(id, 0, -70.0, 10_000.0),
-        Err(SubmitError::FutureTimestamp { .. })
+        platform.ingest(0, 0, 55.0, 150.0),
+        Err(IngestError::ImplausibleValue { .. })
     ));
     assert!(matches!(
-        platform.submit(id, 0, 55.0, 150.0),
-        Err(SubmitError::ImplausibleValue { .. })
+        platform.ingest(0, s.data.num_tasks(), -70.0, 150.0),
+        Err(IngestError::UnknownTask { .. })
     ));
-    assert_eq!(platform.rejected_submissions(), 3);
-    assert_eq!(platform.data().num_reports(), 0);
+    assert_eq!(
+        platform.ingest(0, 0, -70.0, f64::INFINITY),
+        Err(IngestError::NonFiniteTimestamp)
+    );
+    platform.ingest(0, 0, -70.0, 150.0).expect("valid");
+    assert_eq!(
+        platform.ingest(0, 0, -71.0, 160.0),
+        Err(IngestError::DuplicateReport)
+    );
+    assert_eq!(platform.rejected_reports(), 4);
+    let snapshot = platform.run_epoch_incremental();
+    assert_eq!(snapshot.num_reports, 1, "only the valid report folds");
 }

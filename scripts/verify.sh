@@ -54,8 +54,11 @@ cargo run -q --release --offline -p srtd-bench --bin bench_check -- "$bench_json
 # name the fold/discover/swap stages, /metrics?format=prom must expose
 # the counter families), and shut down cleanly (server-check drives the
 # sequence and checks exit status). The second phase replays a Sybil-ring
-# ingest schedule over POST /epoch and asserts the HTTP snapshots are
-# bit-identical to an in-process incremental engine.
+# ingest schedule over POST /epoch, for --method ag-tr and ag-ts, and
+# asserts the HTTP snapshots are bit-identical to an in-process batch
+# engine. The third drives timer epochs; the fourth plays a hostile
+# client (an absurd Content-Length must get 413, an idle connection must
+# not stall /healthz past the server's per-connection deadline).
 cargo run -q --release --offline --bin server-check -- target/release/srtd-server
 
 # Adaptive-adversary audit: a threshold-evading ring (camouflage +

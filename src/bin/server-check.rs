@@ -16,24 +16,32 @@
 //! `?format=prom` exposes the counter families), and a clean shutdown
 //! with exit status 0.
 //!
-//! A second phase spawns an AG-TR server and mirrors the same ingest
-//! schedule into an in-process batch `EpochEngine::run_epoch`: the
-//! server's incremental re-grouping path must publish snapshots whose
-//! truths, labels, and group weights are identical (the JSON renderer is
-//! shortest-roundtrip, so the comparison is bitwise) across a
-//! multi-epoch drive with a Sybil ring, a mid-stream account, and an
-//! empty steady-state epoch.
+//! A second phase spawns an AG-TR server, then an AG-TS server, and
+//! mirrors the same ingest schedule into an in-process batch
+//! `EpochEngine::run_epoch` of the same method: the server's incremental
+//! re-grouping path must publish snapshots whose truths, labels, and
+//! group weights are identical (the JSON renderer is shortest-roundtrip,
+//! so the comparison is bitwise) across a multi-epoch drive with a Sybil
+//! ring, a mid-stream account, and an empty steady-state epoch.
 //!
 //! A third phase spawns a server with `--epoch-interval-ms 20` and
 //! checks the timer contract: an ingested batch is folded into a
 //! published snapshot without any `POST /epoch`, idle ticks do not run
 //! empty epochs, and shutdown joins the ticker cleanly.
+//!
+//! A fourth phase plays a hostile client: a request announcing a
+//! `Content-Length` of 99 999 999 999 999 bytes must get `413` (not
+//! abort the process), and a connection that sends nothing must not
+//! hold the serial accept loop — `/healthz` still answers, within a
+//! bound set by the server's per-connection deadline.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, ExitCode, Stdio};
 
-use sybil_td::core::{AgTr, SybilResistantTd};
+use std::time::{Duration, Instant};
+
+use sybil_td::core::{AccountGrouping, AgTr, AgTs, SybilResistantTd};
 use sybil_td::platform::{EpochConfig, EpochEngine};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 
@@ -63,7 +71,12 @@ fn run(server_path: &str) -> Result<(), String> {
     with_server(
         server_path,
         &["--port", "0", "--tasks", "6", "--method", "ag-tr"],
-        drive_incremental_equivalence,
+        |addr| drive_incremental_equivalence(addr, AgTr::default()),
+    )?;
+    with_server(
+        server_path,
+        &["--port", "0", "--tasks", "6", "--method", "ag-ts"],
+        |addr| drive_incremental_equivalence(addr, AgTs::default()),
     )?;
     with_server(
         server_path,
@@ -78,6 +91,11 @@ fn run(server_path: &str) -> Result<(), String> {
             "20",
         ],
         drive_timer_epochs,
+    )?;
+    with_server(
+        server_path,
+        &["--port", "0", "--tasks", "4", "--method", "singletons"],
+        drive_hostile_client,
     )
 }
 
@@ -86,7 +104,7 @@ fn run(server_path: &str) -> Result<(), String> {
 fn with_server(
     server_path: &str,
     args: &[&str],
-    f: fn(&str) -> Result<(), String>,
+    f: impl FnOnce(&str) -> Result<(), String>,
 ) -> Result<(), String> {
     let mut child = Command::new(server_path)
         .args(args)
@@ -271,19 +289,16 @@ fn drive(addr: &str) -> Result<(), String> {
 }
 
 /// Phase 2: the server's incremental epoch path must publish snapshots
-/// identical to the batch path. The same ingest schedule feeds the AG-TR
-/// server over HTTP and an in-process batch engine; truths, labels, and
-/// group weights must agree bitwise every epoch. The schedule exercises
-/// all three incremental regimes: a cold first epoch with a Sybil ring
-/// (accounts 0–2 replay one walk 30–65 s apart), a growth epoch adding
-/// account 4 while account 3 folds new reports (forcing the rebuild
-/// regime), and an empty steady-state epoch.
-fn drive_incremental_equivalence(addr: &str) -> Result<(), String> {
-    let mut mirror = EpochEngine::new(
-        SybilResistantTd::new(AgTr::default()),
-        6,
-        EpochConfig::default(),
-    );
+/// identical to the batch path. The same ingest schedule feeds a server
+/// running `method` over HTTP and an in-process batch engine of the same
+/// method; truths, labels, and group weights must agree bitwise every
+/// epoch. The schedule exercises all three incremental regimes: a cold
+/// first epoch with a Sybil ring (accounts 0–2 replay one walk 30–65 s
+/// apart, over one task set), a growth epoch adding account 4 while
+/// account 3 folds new reports (forcing the rebuild regime), and an
+/// empty steady-state epoch.
+fn drive_incremental_equivalence<G: AccountGrouping>(addr: &str, method: G) -> Result<(), String> {
+    let mut mirror = EpochEngine::new(SybilResistantTd::new(method), 6, EpochConfig::default());
     let epochs: [&[(usize, usize, f64, f64)]; 3] = [
         &[
             (0, 0, -70.0, 100.0),
@@ -344,7 +359,8 @@ fn drive_incremental_equivalence(addr: &str) -> Result<(), String> {
             }
         }
     }
-    // The equivalence is non-trivial: AG-TR groups the replayed ring.
+    // The equivalence is non-trivial: the method groups the replayed ring
+    // (one walk for AG-TR, one task set for AG-TS).
     let groups = request(addr, "GET", "/groups", None)?;
     match field(&groups, "labels") {
         Some(Json::Arr(ls)) if ls.len() == 5 => {
@@ -420,6 +436,53 @@ fn drive_timer_epochs(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Phase 4: a hostile client must neither kill nor stall the server. An
+/// absurd `Content-Length` is refused with 413 before any allocation;
+/// an idle connection is dropped at the server's per-connection deadline
+/// (5 s), after which the next client is served.
+fn drive_hostile_client(addr: &str) -> Result<(), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    stream
+        .write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 99999999999999\r\n\r\n")
+        .map_err(|e| e.to_string())?;
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .map_err(|e| format!("oversized body: {e}"))?;
+    if response.split_whitespace().nth(1) != Some("413") {
+        return Err(format!("oversized body: want 413, got {response:?}"));
+    }
+    healthz_answers(addr)?;
+
+    // Hold a connection open without sending a byte, then ask for
+    // /healthz on a second one: the serial accept loop must give up on
+    // the idle socket and answer.
+    let idle = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    let started = Instant::now();
+    healthz_answers(addr)?;
+    let waited = started.elapsed();
+    if waited > Duration::from_secs(15) {
+        return Err(format!("idle connection stalled /healthz for {waited:?}"));
+    }
+    drop(idle);
+
+    let bye = request(addr, "POST", "/shutdown", None)?;
+    if field(&bye, "status") != Some(&Json::str("shutting down")) {
+        return Err("shutdown not acknowledged".into());
+    }
+    Ok(())
+}
+
+/// `/healthz` answers 200 with `status: ok`; the client side gives up
+/// after 30 s so a stalled server fails the check instead of hanging it.
+fn healthz_answers(addr: &str) -> Result<(), String> {
+    let health = request(addr, "GET", "/healthz", None)?;
+    if field(&health, "status") != Some(&Json::str("ok")) {
+        return Err(format!("healthz not ok: {health:?}"));
+    }
+    Ok(())
+}
+
 /// One HTTP request; the response body must parse as JSON.
 fn request(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<Json, String> {
     let raw = request_raw(addr, verb, path, body)?;
@@ -428,6 +491,9 @@ fn request(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<Jso
 
 fn request_raw(addr: &str, verb: &str, path: &str, body: Option<&str>) -> Result<String, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))?;
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .map_err(|e| e.to_string())?;
     let body = body.unwrap_or("");
     let req = format!(
         "{verb} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

@@ -37,10 +37,18 @@
 //! (`server.http.status.2xx`, …) and a `server.http.request_us` latency
 //! histogram.
 //!
+//! `--method` picks the grouping once at start-up; the server itself is
+//! one generic loop over `EpochEngine<G>` for any [`EdgeGrouping`], and
+//! every epoch takes the incremental re-grouping path.
+//!
 //! Requests are handled sequentially on the accept thread: the engine is
 //! deterministic, and the serving story is snapshot handoff, not request
 //! parallelism — the heavy lifting inside an epoch already runs on the
-//! runtime's persistent worker pool.
+//! runtime's persistent worker pool. Two constants keep one client from
+//! stalling or killing that loop: each connection gets a read and write
+//! deadline (`CONNECTION_DEADLINE`), so an idle socket is dropped rather
+//! than waited on forever, and a `Content-Length` above `MAX_BODY_BYTES`
+//! is answered `413` before any body buffer is allocated.
 //!
 //! With `--epoch-interval-ms N` a ticker thread drives epochs on a
 //! timer: every `N` milliseconds it takes the engine lock and, if any
@@ -56,9 +64,12 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
-use sybil_td::core::{AgTr, AgTs, SingletonGrouping, SybilResistantTd};
-use sybil_td::platform::{EpochConfig, EpochEngine, EpochSnapshot, IngestError};
+use sybil_td::core::{
+    AccountGrouping, AgTr, AgTs, EdgeGrouping, SingletonGrouping, SybilResistantTd,
+};
+use sybil_td::platform::{EpochConfig, EpochEngine};
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::runtime::obs;
 
@@ -75,80 +86,15 @@ is announced on stdout as `listening on 127.0.0.1:PORT`.
 pending (0, the default, disables the timer; epochs then run only on
 POST /epoch).";
 
-/// The grouping-method dispatch: one engine variant per supported method,
-/// so the generic `EpochEngine<G>` stays monomorphic behind one enum.
-enum Engine {
-    AgTr(EpochEngine<AgTr>),
-    AgTs(EpochEngine<AgTs>),
-    Singletons(EpochEngine<SingletonGrouping>),
-}
+/// Largest request body the server reads: far above the ~80 KB of a
+/// 1000-report bulk ingest body. A larger `Content-Length` is answered
+/// 413 before any buffer is allocated.
+const MAX_BODY_BYTES: usize = 16 << 20;
 
-impl Engine {
-    fn new(method: &str, num_tasks: usize, config: EpochConfig) -> Result<Self, String> {
-        Ok(match method {
-            "ag-tr" => Engine::AgTr(EpochEngine::new(
-                SybilResistantTd::new(AgTr::default()),
-                num_tasks,
-                config,
-            )),
-            "ag-ts" => Engine::AgTs(EpochEngine::new(
-                SybilResistantTd::new(AgTs::default()),
-                num_tasks,
-                config,
-            )),
-            "singletons" => Engine::Singletons(EpochEngine::new(
-                SybilResistantTd::new(SingletonGrouping),
-                num_tasks,
-                config,
-            )),
-            other => return Err(format!("unknown grouping method `{other}`")),
-        })
-    }
-
-    fn ingest(
-        &mut self,
-        account: usize,
-        task: usize,
-        value: f64,
-        timestamp: f64,
-    ) -> Result<(), IngestError> {
-        match self {
-            Engine::AgTr(e) => e.ingest(account, task, value, timestamp),
-            Engine::AgTs(e) => e.ingest(account, task, value, timestamp),
-            Engine::Singletons(e) => e.ingest(account, task, value, timestamp),
-        }
-    }
-
-    fn run_epoch(&mut self) -> std::sync::Arc<EpochSnapshot> {
-        // All three methods are `EdgeGrouping`s, so the server always
-        // takes the incremental re-grouping path: only pairs touching a
-        // dirty account are re-decided, and the published snapshot is
-        // pinned identical to the batch rebuild (server-check drives an
-        // in-process batch engine alongside an HTTP server and compares
-        // every epoch).
-        match self {
-            Engine::AgTr(e) => e.run_epoch_incremental(),
-            Engine::AgTs(e) => e.run_epoch_incremental(),
-            Engine::Singletons(e) => e.run_epoch_incremental(),
-        }
-    }
-
-    fn latest(&self) -> std::sync::Arc<EpochSnapshot> {
-        match self {
-            Engine::AgTr(e) => e.latest(),
-            Engine::AgTs(e) => e.latest(),
-            Engine::Singletons(e) => e.latest(),
-        }
-    }
-
-    fn pending_reports(&self) -> usize {
-        match self {
-            Engine::AgTr(e) => e.pending_reports(),
-            Engine::AgTs(e) => e.pending_reports(),
-            Engine::Singletons(e) => e.pending_reports(),
-        }
-    }
-}
+/// Per-connection read and write deadline: a client that goes silent
+/// mid-request (or never sends one) is dropped after this long, so one
+/// idle connection cannot hold the serial accept loop.
+const CONNECTION_DEADLINE: Duration = Duration::from_secs(5);
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -176,14 +122,40 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err("--tasks must be at least 1".into());
     }
 
-    let engine = Engine::new(
-        method,
-        tasks,
-        EpochConfig {
-            num_shards: shards,
-            warm_start: true,
-        },
-    )?;
+    let config = EpochConfig { num_shards: shards };
+    // The grouping method is picked once here; everything below is one
+    // generic server over `EpochEngine<G>`.
+    match method {
+        "ag-tr" => serve(
+            EpochEngine::new(SybilResistantTd::new(AgTr::default()), tasks, config),
+            port,
+            epoch_interval_ms,
+        ),
+        "ag-ts" => serve(
+            EpochEngine::new(SybilResistantTd::new(AgTs::default()), tasks, config),
+            port,
+            epoch_interval_ms,
+        ),
+        "singletons" => serve(
+            EpochEngine::new(SybilResistantTd::new(SingletonGrouping), tasks, config),
+            port,
+            epoch_interval_ms,
+        ),
+        other => Err(format!("unknown grouping method `{other}`")),
+    }
+}
+
+/// Binds the listener, announces the port, and serves `engine` until
+/// `POST /shutdown`. Every epoch takes the incremental re-grouping path:
+/// all served methods are `EdgeGrouping`s, so only pairs touching a
+/// dirty account are re-decided, and the published snapshot is pinned
+/// identical to the batch rebuild (server-check drives an in-process
+/// batch engine alongside an HTTP server and compares every epoch).
+fn serve<G: EdgeGrouping + Send + 'static>(
+    engine: EpochEngine<G>,
+    port: u16,
+    epoch_interval_ms: u64,
+) -> Result<(), String> {
     obs::set_enabled(true);
 
     let listener = TcpListener::bind(("127.0.0.1", port))
@@ -236,14 +208,14 @@ fn run(args: &[String]) -> Result<(), String> {
 /// it runs one incremental epoch if (and only if) reports are pending,
 /// so an idle server does not spin epoch numbers. The `stop` pair wakes
 /// it immediately on shutdown.
-fn spawn_epoch_ticker(
+fn spawn_epoch_ticker<G: EdgeGrouping + Send + 'static>(
     interval_ms: u64,
-    engine: &Arc<Mutex<Engine>>,
+    engine: &Arc<Mutex<EpochEngine<G>>>,
     stop: &Arc<(Mutex<bool>, Condvar)>,
 ) -> Result<std::thread::JoinHandle<()>, String> {
     let engine = Arc::clone(engine);
     let stop = Arc::clone(stop);
-    let interval = std::time::Duration::from_millis(interval_ms);
+    let interval = Duration::from_millis(interval_ms);
     std::thread::Builder::new()
         .name("srtd-epoch-timer".into())
         .spawn(move || {
@@ -265,7 +237,7 @@ fn spawn_epoch_ticker(
                     {
                         let mut engine = engine.lock().expect("engine poisoned");
                         if engine.pending_reports() > 0 {
-                            engine.run_epoch();
+                            engine.run_epoch_incremental();
                             obs::counter_add("server.epoch.timer_epochs", 1);
                         }
                     }
@@ -278,7 +250,14 @@ fn spawn_epoch_ticker(
 
 /// Handles one request on `stream`; `Ok(false)` means a clean shutdown
 /// was requested.
-fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, String> {
+fn handle_connection<G: EdgeGrouping>(
+    stream: TcpStream,
+    engine: &Mutex<EpochEngine<G>>,
+) -> Result<bool, String> {
+    stream
+        .set_read_timeout(Some(CONNECTION_DEADLINE))
+        .and_then(|()| stream.set_write_timeout(Some(CONNECTION_DEADLINE)))
+        .map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader
@@ -311,6 +290,15 @@ fn handle_connection(stream: TcpStream, engine: &Mutex<Engine>) -> Result<bool, 
                     .map_err(|_| "bad Content-Length".to_string())?;
             }
         }
+    }
+    if content_length > MAX_BODY_BYTES {
+        let message =
+            format!("body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap");
+        return respond(
+            reader.into_inner(),
+            &Response::json(413, error_json(&message)),
+        )
+        .map(|()| true);
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).map_err(|e| e.to_string())?;
@@ -366,12 +354,12 @@ impl Response {
 }
 
 /// Dispatches one parsed request; the bool is `false` after `/shutdown`.
-fn route(
+fn route<G: EdgeGrouping>(
     verb: &str,
     path: &str,
     query: &[(String, String)],
     body: &str,
-    engine: &mut Engine,
+    engine: &mut EpochEngine<G>,
 ) -> (Response, bool) {
     let param = |name: &str| {
         query
@@ -399,7 +387,7 @@ fn route(
             Err(e) => Response::json(400, error_json(&e)),
         },
         ("POST", "/epoch") => {
-            let snap = engine.run_epoch();
+            let snap = engine.run_epoch_incremental();
             Response::json(200, snap.to_json().render())
         }
         ("GET", "/truths") => Response::json(200, engine.latest().to_json().render()),
@@ -478,7 +466,10 @@ fn split_query(path: &str) -> (&str, Vec<(String, String)>) {
 /// Parses an ingest body and feeds each report to the engine. Invalid
 /// JSON is a request-level error; per-report rejections are part of a
 /// successful response.
-fn ingest_batch(engine: &mut Engine, body: &str) -> Result<Json, String> {
+fn ingest_batch<G: AccountGrouping>(
+    engine: &mut EpochEngine<G>,
+    body: &str,
+) -> Result<Json, String> {
     let doc = parse(body).map_err(|e| e.to_string())?;
     let Json::Obj(fields) = &doc else {
         return Err("expected a JSON object".into());
@@ -543,6 +534,7 @@ fn respond(mut stream: TcpStream, response: &Response) -> Result<(), String> {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     let wire = format!(

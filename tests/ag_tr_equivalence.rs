@@ -9,7 +9,7 @@
 //! misclassified.
 
 use sybil_td::core::{AccountGrouping, AgTr};
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::platform::AuditReport;
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
 use sybil_td::sensing::{Scenario, ScenarioConfig};
@@ -128,27 +128,20 @@ fn synthetic_202_group_campaign_groups_identically() {
 #[test]
 fn audit_reports_match_between_pruned_and_full_paths() {
     let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(5));
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
-    let max_ts = scenario
-        .data
-        .reports()
-        .iter()
-        .map(|r| r.timestamp)
-        .fold(0.0, f64::max);
-    platform.advance_clock(max_ts + 1.0);
-    let mut ids = Vec::new();
-    for fp in &scenario.fingerprints {
-        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
-    }
-    for (account, &id) in ids.iter().enumerate() {
-        for r in scenario.data.trajectory_of(account) {
-            platform
-                .submit(id, r.task, r.value, r.timestamp)
-                .expect("submit");
-        }
-    }
-    let report_pruned = platform.audit(&AgTr::default(), 2);
-    let report_full = platform.audit(&AgTr::default().with_pruning(false), 2);
+    let report_pruned = audit(&AgTr::default(), &scenario, 2);
+    let report_full = audit(&AgTr::default().with_pruning(false), &scenario, 2);
     assert_eq!(report_pruned, report_full);
+}
+
+/// The operator-facing audit of `method` over the whole campaign.
+fn audit<G: AccountGrouping>(
+    method: &G,
+    scenario: &Scenario,
+    min_group_size: usize,
+) -> AuditReport {
+    AuditReport::new(
+        method.group(&scenario.data, &scenario.fingerprints),
+        method.name(),
+        min_group_size,
+    )
 }

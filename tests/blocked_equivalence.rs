@@ -10,7 +10,7 @@
 //! pairs the decision stage rejects anyway.
 
 use sybil_td::core::{AccountGrouping, AgTr, AgTs};
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::platform::AuditReport;
 use sybil_td::runtime::parallel::set_max_threads;
 use sybil_td::runtime::rng::{Rng, SeedableRng, StdRng};
 use sybil_td::runtime::{prop, prop_assert_eq};
@@ -205,30 +205,23 @@ fn scaled_fixed_size_campaign_groups_identically_with_sparse_candidates() {
 #[test]
 fn audit_reports_match_between_blocked_and_exhaustive_paths() {
     let scenario = Scenario::generate(&ScenarioConfig::paper_default().with_seed(5));
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
-    let max_ts = scenario
-        .data
-        .reports()
-        .iter()
-        .map(|r| r.timestamp)
-        .fold(0.0, f64::max);
-    platform.advance_clock(max_ts + 1.0);
-    let mut ids = Vec::new();
-    for fp in &scenario.fingerprints {
-        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
-    }
-    for (account, &id) in ids.iter().enumerate() {
-        for r in scenario.data.trajectory_of(account) {
-            platform
-                .submit(id, r.task, r.value, r.timestamp)
-                .expect("submit");
-        }
-    }
-    let tr_blocked = platform.audit(&AgTr::default(), 2);
-    let tr_exhaustive = platform.audit(&AgTr::default().with_blocking(false), 2);
+    let tr_blocked = audit(&AgTr::default(), &scenario, 2);
+    let tr_exhaustive = audit(&AgTr::default().with_blocking(false), &scenario, 2);
     assert_eq!(tr_blocked, tr_exhaustive);
-    let ts_blocked = platform.audit(&AgTs::default(), 2);
-    let ts_exhaustive = platform.audit(&AgTs::default().with_blocking(false), 2);
+    let ts_blocked = audit(&AgTs::default(), &scenario, 2);
+    let ts_exhaustive = audit(&AgTs::default().with_blocking(false), &scenario, 2);
     assert_eq!(ts_blocked, ts_exhaustive);
+}
+
+/// The operator-facing audit of `method` over the whole campaign.
+fn audit<G: AccountGrouping>(
+    method: &G,
+    scenario: &Scenario,
+    min_group_size: usize,
+) -> AuditReport {
+    AuditReport::new(
+        method.group(&scenario.data, &scenario.fingerprints),
+        method.name(),
+        min_group_size,
+    )
 }

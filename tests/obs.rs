@@ -7,8 +7,8 @@
 //! process-wide, and a second concurrently running test would bleed
 //! metrics into the snapshot.
 
-use sybil_td::core::{AgFp, AgTr, SybilResistantTd};
-use sybil_td::platform::{Platform, PlatformConfig};
+use sybil_td::core::{AccountGrouping, AgFp, AgTr, SybilResistantTd};
+use sybil_td::platform::AuditReport;
 use sybil_td::runtime::json::{parse, Json, ToJson};
 use sybil_td::runtime::obs;
 use sybil_td::sensing::{Scenario, ScenarioConfig};
@@ -34,29 +34,13 @@ fn instrumented_pipeline_covers_every_stage_and_exports_valid_json() {
         "one delta per iteration"
     );
 
-    // The platform audit layer on top: enroll every account, replay the
-    // campaign's reports, audit with AG-TR.
-    let mut platform = Platform::new(PlatformConfig::default());
-    platform.publish_tasks(scenario.data.num_tasks());
-    let max_ts = scenario
-        .data
-        .reports()
-        .iter()
-        .map(|r| r.timestamp)
-        .fold(0.0, f64::max);
-    platform.advance_clock(max_ts + 1.0);
-    let mut ids = Vec::new();
-    for fp in &scenario.fingerprints {
-        ids.push(platform.enroll(fp.clone(), 0.0).expect("enroll"));
-    }
-    for (account, &id) in ids.iter().enumerate() {
-        for r in scenario.data.trajectory_of(account) {
-            platform
-                .submit(id, r.task, r.value, r.timestamp)
-                .expect("submit");
-        }
-    }
-    let audit = platform.audit(&AgTr::default(), 2);
+    // The platform audit layer on top: flag AG-TR's clusters.
+    let tr = AgTr::default();
+    let audit = AuditReport::new(
+        tr.group(&scenario.data, &scenario.fingerprints),
+        tr.name(),
+        2,
+    );
     assert_eq!(audit.effective_min_group_size(), 2);
 
     let report = obs::snapshot();
